@@ -98,6 +98,16 @@ if [ -s BENCH_serve.json ]; then
   fi
 fi
 
+echo "== paper-scale serve smoke (perfbench serve-paper, 5 s)"
+# The only paper-scale (80 assets, 5 policies) check that served decisions
+# equal offline ones bit for bit: perfbench's check (b) recomputes the
+# first walked session with a fresh full-Haar cache per day, and any
+# failed check makes perfbench exit nonzero. Every unit test uses smoke
+# configurations.
+CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+  --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-paper --seed 1 --seconds 5 --trace 0 >/dev/null
+
 echo "== observability smoke (cit-serve stats + /metrics + cit-top)"
 # Start a server with an admin listener on ephemeral ports, hit the
 # stats op through cit-top and the exposition endpoint over plain HTTP,

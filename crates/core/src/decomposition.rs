@@ -32,10 +32,11 @@ pub fn raw_window(panel: &AssetPanel, t: usize, z: usize) -> Tensor {
     Tensor::from_vec(&[m, NUM_FEATURES, z], data)
 }
 
-/// Raw (unnormalised) prices of one asset/feature series over the window
-/// ending at day `t`.
-fn raw_series(panel: &AssetPanel, t: usize, z: usize, i: usize, f: Feature) -> Vec<f64> {
-    (0..z).map(|s| panel.price(t + 1 - z + s, i, f)).collect()
+/// Writes the raw (unnormalised) prices of one asset/feature series over
+/// the window ending at day `t` into `out`.
+fn raw_series(panel: &AssetPanel, t: usize, z: usize, i: usize, f: Feature, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend((0..z).map(|s| panel.price(t + 1 - z + s, i, f)));
 }
 
 /// Writes the normalised bands of one asset/feature series into the output
@@ -69,10 +70,11 @@ pub fn horizon_windows(panel: &AssetPanel, t: usize, z: usize, n: usize) -> Vec<
     assert!(n >= 1, "need at least one horizon");
     let m = panel.num_assets();
     let mut out = vec![Tensor::zeros(&[m, NUM_FEATURES, z]); n];
+    let mut series = Vec::with_capacity(z);
     for i in 0..m {
         let anchor = panel.close(t, i);
         for (fi, &f) in FEATURES.iter().enumerate() {
-            let series = raw_series(panel, t, z, i, f);
+            raw_series(panel, t, z, i, f, &mut series);
             let scales = horizon_scales(&series, n);
             write_bands(&mut out, i, fi, z, anchor, &scales);
         }
@@ -108,6 +110,8 @@ pub struct HorizonWindowCache {
     z: usize,
     n: usize,
     caches: Vec<SlidingDwt>,
+    /// The raw window of the series being transformed.
+    series: Vec<f64>,
 }
 
 impl HorizonWindowCache {
@@ -121,6 +125,7 @@ impl HorizonWindowCache {
             caches: (0..num_assets * NUM_FEATURES)
                 .map(|_| SlidingDwt::new(z, n))
                 .collect(),
+            series: Vec::with_capacity(z),
         }
     }
 
@@ -137,8 +142,8 @@ impl HorizonWindowCache {
         for i in 0..m {
             let anchor = panel.close(t, i);
             for (fi, &f) in FEATURES.iter().enumerate() {
-                let series = raw_series(panel, t, z, i, f);
-                let scales = self.caches[i * NUM_FEATURES + fi].scales_at(t, &series);
+                raw_series(panel, t, z, i, f, &mut self.series);
+                let scales = self.caches[i * NUM_FEATURES + fi].scales_at(t, &self.series);
                 write_bands(&mut out, i, fi, z, anchor, scales);
             }
         }
@@ -241,17 +246,31 @@ mod tests {
         );
     }
 
+    /// Tensor contents as bit patterns: `==` on floats would let `-0.0`
+    /// pass for `+0.0`.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_bitwise(cache: &mut HorizonWindowCache, p: &AssetPanel, t: usize) {
+        let cached = cache.windows(p, t);
+        let reference = horizon_windows(p, t, cache.z, cache.n);
+        for (k, (c, r)) in cached.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                bits(c),
+                bits(r),
+                "cache must be bitwise exact at t={t}, band {k}"
+            );
+        }
+    }
+
     #[test]
     fn cached_windows_are_bitwise_identical() {
         let p = panel();
         let (z, n) = (16, 3);
         let mut cache = HorizonWindowCache::new(3, z, n);
         for t in (z - 1)..80 {
-            let cached = cache.windows(&p, t);
-            let reference = horizon_windows(&p, t, z, n);
-            for (c, r) in cached.iter().zip(&reference) {
-                assert_eq!(c.data(), r.data(), "cache must be bitwise exact at t={t}");
-            }
+            assert_bitwise(&mut cache, &p, t);
         }
         let stats = cache.stats();
         assert!(
@@ -267,11 +286,28 @@ mod tests {
         let mut cache = HorizonWindowCache::new(3, z, n);
         // Rollout-style pattern: sequential runs with resets back in time.
         for t in [20, 21, 22, 40, 41, 20, 21, 60, 61, 62, 63] {
-            let cached = cache.windows(&p, t);
-            let reference = horizon_windows(&p, t, z, n);
-            for (c, r) in cached.iter().zip(&reference) {
-                assert_eq!(c.data(), r.data(), "t={t}");
-            }
+            assert_bitwise(&mut cache, &p, t);
         }
+    }
+
+    /// The paper's configuration (z = 32, five horizons): stride-1 runs
+    /// past several ring periods, resets back in time and forward jumps.
+    #[test]
+    fn paper_configuration_windows_are_bitwise_identical() {
+        let p = panel();
+        let mut cache = HorizonWindowCache::new(3, 32, 5);
+        let runs = (31..101)
+            .chain(40..60)
+            .chain(95..119)
+            .chain(31..40)
+            .chain(60..100);
+        let mut steps = 0;
+        for t in runs {
+            assert_bitwise(&mut cache, &p, t);
+            steps += 1;
+        }
+        assert!(steps >= 150);
+        let stats = cache.stats();
+        assert!(stats.incremental > stats.full, "{stats:?}");
     }
 }

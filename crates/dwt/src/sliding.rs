@@ -8,19 +8,27 @@
 //! input shifts by `2^(levels−l)`, always even). [`SlidingDwt`] exploits
 //! this with a ring of `2^levels` slots keyed by `end % 2^levels`: after a
 //! warm-up of one period, every stride-1 request finds the slot filled by
-//! `end − 2^levels` and only computes the new coefficient tail
-//! (`2^levels − 1` coefficients) plus the last `2^levels` samples of each
-//! band reconstruction, instead of the full `O(z · n)` rebuild.
+//! `end − 2^levels` and only analyses the `2^levels` new samples
+//! (`2^levels − 1` new coefficients) instead of the full `O(z · n)`
+//! decomposition.
+//!
+//! A slot holds only its window and its Haar coefficients, packed into
+//! one flat ring; the bands are rebuilt from the coefficients into buffers
+//! the cache owns, with the masked synthesis [`horizon_scales`] runs.
+//! Neither the slide nor the rebuild allocates once the ring exists.
 //!
 //! Cached results are **bitwise identical** to [`horizon_scales`]: the
 //! incremental path evaluates exactly the same floating-point operations on
 //! exactly the same operands as a cold decomposition, it just skips the
-//! ones whose results are already known. Windows whose length is not a
-//! multiple of `2^levels` (odd-padding would break pair alignment) fall
-//! back to a full per-call computation and are never cached incrementally.
+//! ones whose results are already known. Windows are matched by bit
+//! pattern, so `-0.0` and `+0.0` samples never share a result. Windows
+//! whose length is not a multiple of `2^levels` (odd-padding would break
+//! pair alignment), and single-band requests, are computed in full on
+//! every call and never cached.
 
-use crate::haar::{decompose, haar_inverse_step, haar_step, reconstruct, WaveletPyramid};
 use crate::horizon::horizon_scales;
+
+const SQRT2: f64 = std::f64::consts::SQRT_2;
 
 /// Hit/miss counters of a [`SlidingDwt`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -31,13 +39,6 @@ pub struct DwtCacheStats {
     pub incremental: u64,
     /// Requests that required a full decomposition.
     pub full: u64,
-}
-
-struct Slot {
-    end: usize,
-    window: Vec<f64>,
-    pyramid: Option<WaveletPyramid>,
-    scales: Vec<Vec<f64>>,
 }
 
 /// A sliding-window cache around [`horizon_scales`].
@@ -67,9 +68,23 @@ pub struct SlidingDwt {
     levels: usize,
     /// Slide distance that preserves Haar pair alignment (`2^levels`).
     period: usize,
-    /// Whether `z` admits the incremental path at all.
-    aligned: bool,
-    slots: Vec<Option<Slot>>,
+    /// Whether requests go through the ring at all: at least one level,
+    /// and `z` a multiple of `period`.
+    ringed: bool,
+    /// Per ring slot, the series index of the window it holds. This and
+    /// the buffers below are allocated on first use, so an idle cache
+    /// costs no heap.
+    ends: Vec<Option<usize>>,
+    /// `period` slots of `2z` values. A slot is its window followed by the
+    /// window's Haar coefficients, coarsest first: the approximation in
+    /// `[0, z >> levels)`, detail level `l` in `[z >> (l+1), z >> l)`.
+    ring: Vec<f64>,
+    /// The bands of the latest request, rebuilt from its slot.
+    bands: Vec<Vec<f64>>,
+    /// The ring slot whose current state `bands` holds.
+    bands_of: Option<usize>,
+    /// Work buffer for analysis tails and synthesis steps.
+    scratch: Vec<f64>,
     stats: DwtCacheStats,
 }
 
@@ -84,14 +99,17 @@ impl SlidingDwt {
         assert!(n_scales >= 1, "SlidingDwt: need at least one scale");
         let levels = n_scales - 1;
         let period = 1usize << levels;
-        let aligned = z.is_multiple_of(period);
         SlidingDwt {
             z,
             n_scales,
             levels,
             period,
-            aligned,
-            slots: (0..period).map(|_| None).collect(),
+            ringed: levels >= 1 && z.is_multiple_of(period),
+            ends: Vec::new(),
+            ring: Vec::new(),
+            bands: Vec::new(),
+            bands_of: None,
+            scratch: Vec::new(),
             stats: DwtCacheStats::default(),
         }
     }
@@ -112,141 +130,137 @@ impl SlidingDwt {
     /// # Panics
     /// Panics if `window.len() != z`.
     pub fn scales_at(&mut self, end: usize, window: &[f64]) -> &[Vec<f64>] {
-        assert_eq!(window.len(), self.z, "SlidingDwt: window length mismatch");
-        let idx = end % self.period;
-        let reuse = match self.slots[idx].as_ref() {
-            Some(s) if s.end == end && s.window == window => Reuse::Memo,
-            Some(s)
-                if self.aligned
-                    && self.levels >= 1
-                    && s.end + self.period == end
-                    && s.window[self.period..] == window[..self.z - self.period] =>
-            {
-                Reuse::Incremental
+        let (z, period) = (self.z, self.period);
+        assert_eq!(window.len(), z, "SlidingDwt: window length mismatch");
+        if !self.ringed {
+            self.stats.full += 1;
+            self.bands = horizon_scales(window, self.n_scales);
+            self.bands_of = None;
+            return &self.bands;
+        }
+        if self.ring.is_empty() {
+            self.ends = vec![None; period];
+            self.ring = vec![0.0; period * 2 * z];
+            self.bands = (0..self.n_scales).map(|_| Vec::with_capacity(z)).collect();
+            self.scratch = Vec::with_capacity(z);
+        }
+        let idx = end % period;
+        let (held, coefs) = self.ring[idx * 2 * z..(idx + 1) * 2 * z].split_at_mut(z);
+        let fresh = match self.ends[idx] {
+            Some(e) if e == end && same_bits(held, window) => {
+                self.stats.memo_hits += 1;
+                if self.bands_of == Some(idx) {
+                    return &self.bands;
+                }
+                0
             }
-            _ => Reuse::None,
-        };
-        match reuse {
-            Reuse::Memo => self.stats.memo_hits += 1,
-            Reuse::Incremental => {
+            Some(e) if e + period == end && same_bits(&held[period..], &window[..z - period]) => {
                 self.stats.incremental += 1;
-                let slot = self.slots[idx].as_mut().expect("slot checked above");
-                slide_slot(slot, end, window, self.levels, self.period, self.n_scales);
+                period
             }
-            Reuse::None => {
+            _ => {
                 self.stats.full += 1;
-                self.slots[idx] = Some(self.full_slot(end, window));
+                z
             }
+        };
+        if fresh > 0 {
+            analyse_tail(held, coefs, window, fresh, self.levels, &mut self.scratch);
+            self.ends[idx] = Some(end);
         }
-        &self.slots[idx].as_ref().expect("slot filled above").scales
-    }
-
-    fn full_slot(&self, end: usize, window: &[f64]) -> Slot {
-        if self.levels == 0 {
-            return Slot {
-                end,
-                window: window.to_vec(),
-                pyramid: None,
-                scales: horizon_scales(window, 1),
-            };
+        // Band 0 keeps the approximation; band k ≥ 1 keeps detail level
+        // n − 1 − k, as in `horizon_scales`.
+        for (k, band) in self.bands.iter_mut().enumerate() {
+            let detail_level = (k >= 1).then(|| self.n_scales - 1 - k);
+            masked_reconstruct_into(coefs, self.levels, detail_level, band, &mut self.scratch);
         }
-        let pyramid = decompose(window, self.levels);
-        // Same masked reconstructions as `horizon_scales`, sharing the one
-        // decomposition.
-        let mut scales = Vec::with_capacity(self.n_scales);
-        scales.push(reconstruct(&pyramid.masked(true, &[])));
-        for k in 1..self.n_scales {
-            let detail_level = self.n_scales - 1 - k;
-            scales.push(reconstruct(&pyramid.masked(false, &[detail_level])));
-        }
-        Slot {
-            end,
-            window: window.to_vec(),
-            pyramid: Some(pyramid),
-            scales,
-        }
+        self.bands_of = Some(idx);
+        &self.bands
     }
 }
 
-enum Reuse {
-    Memo,
-    Incremental,
-    None,
+/// Slice equality by bit pattern: unlike `==`, tells `-0.0` from `+0.0`
+/// (which the synthesis can turn into different outputs) and matches a
+/// NaN with itself.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Advances `slot` by one period: shifts every coefficient stream and band
-/// left by its per-level stride and fills the vacated tails from the
-/// `period` new samples at the end of `window`.
-fn slide_slot(
-    slot: &mut Slot,
-    end: usize,
+/// Moves a slot on by the last `k` samples of `window`: the held window
+/// shifts left by `k` samples, detail level `l` by `k >> (l+1)`
+/// coefficients and the approximation by `k >> levels`, and the vacated
+/// tails receive the analysis of the new samples (the operations of
+/// `haar_step`, cascaded down the levels). `k = z` is a full
+/// decomposition, `k = 2^levels` one ring step. `tail` is a work buffer.
+fn analyse_tail(
+    held: &mut [f64],
+    coefs: &mut [f64],
     window: &[f64],
+    k: usize,
     levels: usize,
-    period: usize,
-    n_scales: usize,
+    tail: &mut Vec<f64>,
 ) {
     let z = window.len();
-    let pyramid = slot
-        .pyramid
-        .as_mut()
-        .expect("aligned slots carry a pyramid");
-    // Cascade the new input tail down the analysis levels. The new approx
-    // coefficients of level l are exactly the input tail level l+1 needs.
-    let mut tail: Vec<f64> = window[z - period..].to_vec();
+    held.copy_within(k.., 0);
+    held[z - k..].copy_from_slice(&window[z - k..]);
+    tail.clear();
+    tail.extend_from_slice(&window[z - k..]);
     for l in 0..levels {
-        let (a_new, d_new) = haar_step(&tail);
-        shift_append(&mut pyramid.details[l], &d_new);
-        tail = a_new;
+        // The new approximation of level l (written over the front of
+        // `tail`) is exactly the input level l+1 needs.
+        let details = &mut coefs[z >> (l + 1)..z >> l];
+        let half = tail.len() / 2;
+        details.copy_within(half.., 0);
+        let at = details.len() - half;
+        for i in 0..half {
+            let (x0, x1) = (tail[2 * i], tail[2 * i + 1]);
+            details[at + i] = (x0 - x1) / SQRT2;
+            tail[i] = (x0 + x1) / SQRT2;
+        }
+        tail.truncate(half);
     }
-    shift_append(&mut pyramid.approx, &tail);
-    // Each band reconstruction shifts by `period` samples; only the last
-    // `period` outputs touch new coefficients.
-    for (k, band) in slot.scales.iter_mut().enumerate() {
-        band.copy_within(period.., 0);
-        let keep_approx = k == 0;
-        let detail_level = (k >= 1).then(|| n_scales - 1 - k);
-        let fresh = band_tail(pyramid, keep_approx, detail_level, levels, period);
-        band[z - period..].copy_from_slice(&fresh);
-    }
-    slot.end = end;
-    slot.window.copy_within(period.., 0);
-    slot.window[z - period..].copy_from_slice(&window[z - period..]);
+    let approx = &mut coefs[..z >> levels];
+    approx.copy_within(tail.len().., 0);
+    let at = approx.len() - tail.len();
+    approx[at..].copy_from_slice(tail);
 }
 
-/// Rotates `stream` left by `fresh.len()` and writes `fresh` at the end.
-fn shift_append(stream: &mut [f64], fresh: &[f64]) {
-    let s = fresh.len();
-    stream.copy_within(s.., 0);
-    let n = stream.len();
-    stream[n - s..].copy_from_slice(fresh);
-}
-
-/// Reconstructs the last `tail_len` output samples of a masked pyramid
-/// (`tail_len` must be `2^levels`-aligned, which the caller guarantees).
-fn band_tail(
-    p: &WaveletPyramid,
-    keep_approx: bool,
-    detail_level: Option<usize>,
+/// Writes into `out` the band that keeps only the approximation
+/// (`detail_level = None`) or only detail level `l` of the packed
+/// coefficients `coefs`: the inverse steps `(a ± d)/√2` of
+/// `reconstruct(&pyramid.masked(..))` on the same operands, a masked
+/// coefficient being `0.0`. Allocates nothing once `out` and `scratch`
+/// hold `z` values.
+fn masked_reconstruct_into(
+    coefs: &[f64],
     levels: usize,
-    tail_len: usize,
-) -> Vec<f64> {
-    let need = tail_len >> levels;
-    let mut cur: Vec<f64> = if keep_approx {
-        p.approx[p.approx.len() - need..].to_vec()
+    detail_level: Option<usize>,
+    out: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+) {
+    let z = coefs.len();
+    let (mut cur, mut next) = (out, scratch);
+    let approx = &coefs[..z >> levels];
+    cur.clear();
+    if detail_level.is_none() {
+        cur.extend_from_slice(approx);
     } else {
-        vec![0.0; need]
-    };
-    for l in (0..levels).rev() {
-        let dn = cur.len();
-        let d: Vec<f64> = if detail_level == Some(l) {
-            let stream = &p.details[l];
-            stream[stream.len() - dn..].to_vec()
-        } else {
-            vec![0.0; dn]
-        };
-        cur = haar_inverse_step(&cur, &d, 2 * dn);
+        cur.resize(approx.len(), 0.0);
     }
-    cur
+    for l in (0..levels).rev() {
+        let details = &coefs[z >> (l + 1)..z >> l];
+        let keep = detail_level == Some(l);
+        next.clear();
+        for (i, &a) in cur.iter().enumerate() {
+            let d = if keep { details[i] } else { 0.0 };
+            next.push((a + d) / SQRT2);
+            next.push((a - d) / SQRT2);
+        }
+        std::mem::swap(&mut cur, &mut next);
+    }
+    // `cur` and `next` are the two caller buffers, possibly exchanged.
+    if levels % 2 == 1 {
+        std::mem::swap(cur, next);
+    }
 }
 
 #[cfg(test)]
@@ -262,17 +276,30 @@ mod tests {
             .collect()
     }
 
+    /// Bands as bit patterns: `==` on floats would let `-0.0` pass for
+    /// `+0.0`.
+    fn bits(bands: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        bands
+            .iter()
+            .map(|b| b.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    fn assert_bitwise(cache: &mut SlidingDwt, end: usize, window: &[f64], what: &str) {
+        let reference = horizon_scales(window, cache.n_scales);
+        assert_eq!(
+            bits(cache.scales_at(end, window)),
+            bits(&reference),
+            "{what} end={end}: cached bands must be bitwise identical"
+        );
+    }
+
     fn sweep_matches_reference(z: usize, n_scales: usize, steps: usize) -> DwtCacheStats {
         let x = series(z + steps);
         let mut cache = SlidingDwt::new(z, n_scales);
         for end in (z - 1)..(z - 1 + steps) {
             let window = &x[end + 1 - z..=end];
-            let cached = cache.scales_at(end, window).to_vec();
-            let reference = horizon_scales(window, n_scales);
-            assert_eq!(
-                cached, reference,
-                "z={z} n={n_scales} end={end}: cached bands must be bitwise identical"
-            );
+            assert_bitwise(&mut cache, end, window, &format!("z={z} n={n_scales}"));
         }
         cache.stats()
     }
@@ -301,18 +328,23 @@ mod tests {
         let x = series(64);
         let mut cache = SlidingDwt::new(32, 4);
         let w = &x[0..32];
-        let first = cache.scales_at(31, w).to_vec();
-        let second = cache.scales_at(31, w).to_vec();
+        let first = bits(cache.scales_at(31, w));
+        let second = bits(cache.scales_at(31, w));
         assert_eq!(first, second);
         assert_eq!(cache.stats().memo_hits, 1);
         assert_eq!(cache.stats().full, 1);
+        // A memo hit on a slot whose bands were since overwritten by
+        // another slot's request rebuilds them from its pyramid.
+        cache.scales_at(32, &x[1..33]);
+        assert_eq!(bits(cache.scales_at(31, w)), first);
+        assert_eq!(cache.stats().memo_hits, 2);
     }
 
     #[test]
     fn single_scale_is_identity() {
         let x = series(16);
         let mut cache = SlidingDwt::new(16, 1);
-        assert_eq!(cache.scales_at(15, &x)[0], x);
+        assert_eq!(bits(cache.scales_at(15, &x)), bits(&[x]));
     }
 
     #[test]
@@ -326,9 +358,64 @@ mod tests {
         for stride in [1, 1, 4, 1, 7, 2, 1, 1, 16, 3, 1] {
             end += stride;
             let window = &x[end + 1 - z..=end];
-            let cached = cache.scales_at(end, window).to_vec();
-            assert_eq!(cached, horizon_scales(window, n), "stride {stride}");
+            assert_bitwise(&mut cache, end, window, &format!("stride {stride}"));
         }
+    }
+
+    /// The paper's configuration (z = 32, five horizons, a ring of 16
+    /// slots) over a rollout-like pattern: stride-1 runs of several
+    /// periods, resets back in time, forward jumps, and revisits of a day
+    /// already served.
+    #[test]
+    fn paper_configuration_sweep_with_resets_and_jumps_is_bitwise() {
+        let (z, n) = (32, 5);
+        let x = series(1200);
+        let mut cache = SlidingDwt::new(z, n);
+        assert_eq!(cache.period(), 16);
+        let mut steps = 0;
+        let runs: [(usize, usize); 7] = [
+            (31, 70),
+            (40, 25),
+            (300, 60),
+            (95, 3),
+            (31, 40),
+            (700, 90),
+            (780, 20),
+        ];
+        for (start, len) in runs {
+            for end in start..start + len {
+                assert_bitwise(&mut cache, end, &x[end + 1 - z..=end], "paper");
+                steps += 1;
+            }
+        }
+        assert!(steps >= 200);
+        let stats = cache.stats();
+        assert!(stats.incremental > 150, "{stats:?}");
+        assert!(stats.memo_hits > 0 && stats.full > 0, "{stats:?}");
+    }
+
+    /// Windows equal under `==` but not bit for bit (`-0.0` vs `+0.0`) can
+    /// decompose into different bands; the cache must never hand out the
+    /// bands of one for the other.
+    #[test]
+    fn signed_zeros_are_never_confused() {
+        let (z, n) = (8, 3);
+        let pos = [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0];
+        let neg = pos.map(|v| if v == 0.0 { -0.0 } else { v });
+        assert_ne!(
+            bits(&horizon_scales(&pos, n)),
+            bits(&horizon_scales(&neg, n)),
+            "the test needs windows whose bands differ in sign bits"
+        );
+        let mut cache = SlidingDwt::new(z, n);
+        assert_bitwise(&mut cache, 7, &pos, "+0.0 window");
+        assert_bitwise(&mut cache, 7, &neg, "-0.0 window at the same end");
+        // Sliding from a slot filled by the other zero sign.
+        let mut longer = pos.to_vec();
+        longer.extend_from_slice(&[5.0, -0.0, 0.0, 1.0]);
+        let mut cache = SlidingDwt::new(z, n);
+        assert_bitwise(&mut cache, 7, &neg, "-0.0 window");
+        assert_bitwise(&mut cache, 11, &longer[4..], "slid window");
     }
 
     #[test]

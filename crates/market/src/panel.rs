@@ -100,17 +100,7 @@ impl AssetPanel {
                 data.len()
             )));
         }
-        if let Some(pos) = data.iter().position(|p| !(p.is_finite() && *p > 0.0)) {
-            let (t, rest) = (
-                pos / (num_assets * NUM_FEATURES),
-                pos % (num_assets * NUM_FEATURES),
-            );
-            return Err(PanelError::DirtyPrice(format!(
-                "panel prices must be positive and finite: value {} at day {t}, asset {}",
-                data[pos],
-                rest / NUM_FEATURES
-            )));
-        }
+        check_prices(&data, num_assets, 0)?;
         if test_start >= num_days {
             return Err(PanelError::BadSplit("test_start out of range".into()));
         }
@@ -123,6 +113,55 @@ impl AssetPanel {
             test_start,
             asset_names,
         })
+    }
+
+    /// Builds a panel from one `[m·d]` row per day (rows as they arrive
+    /// from a feed or over the wire), with the checks of
+    /// [`AssetPanel::try_new`]; a row of the wrong width is a
+    /// [`PanelError::SizeMismatch`] naming its day.
+    pub fn try_from_days<R: AsRef<[f64]>>(
+        name: impl Into<String>,
+        num_assets: usize,
+        days: &[R],
+        test_start: usize,
+    ) -> Result<Self, PanelError> {
+        check_widths(num_assets, days)?;
+        let mut data = Vec::with_capacity(days.len() * num_assets * NUM_FEATURES);
+        for day in days {
+            data.extend_from_slice(day.as_ref());
+        }
+        Self::try_new(name, days.len(), num_assets, data, test_start)
+    }
+
+    /// Appends days of `[m·d]` rows in place, with the checks of
+    /// [`AssetPanel::try_from_days`]. Every row is checked before any is
+    /// appended, so a rejected append leaves the panel unchanged.
+    pub fn try_append_days<R: AsRef<[f64]>>(&mut self, days: &[R]) -> Result<(), PanelError> {
+        check_widths(self.num_assets, days)?;
+        for (i, day) in days.iter().enumerate() {
+            check_prices(day.as_ref(), self.num_assets, i)?;
+        }
+        for day in days {
+            self.data.extend_from_slice(day.as_ref());
+        }
+        self.num_days += days.len();
+        Ok(())
+    }
+
+    /// Drops the `n` oldest days in place. Day indices shift down by `n`,
+    /// `test_start` with them (saturating at day 0).
+    ///
+    /// # Panics
+    /// Panics if fewer than two days would remain.
+    pub fn drop_oldest_days(&mut self, n: usize) {
+        assert!(
+            n + 2 <= self.num_days,
+            "drop_oldest_days: dropping {n} of {} days leaves fewer than two",
+            self.num_days
+        );
+        self.data.drain(..n * self.num_assets * NUM_FEATURES);
+        self.num_days -= n;
+        self.test_start = self.test_start.saturating_sub(n);
     }
 
     /// Dataset label (e.g. "US", "HK", "CN").
@@ -157,6 +196,11 @@ impl AssetPanel {
     pub fn set_asset_names(&mut self, names: Vec<String>) {
         assert_eq!(names.len(), self.num_assets, "asset name count mismatch");
         self.asset_names = names;
+    }
+
+    /// The row-major `[T, m, d]` price buffer.
+    pub fn data(&self) -> &[f64] {
+        &self.data
     }
 
     /// Price of feature `f` for asset `i` on day `t`.
@@ -244,6 +288,34 @@ impl AssetPanel {
     }
 }
 
+/// Checks that every day is one `[m·d]` row.
+fn check_widths<R: AsRef<[f64]>>(num_assets: usize, days: &[R]) -> Result<(), PanelError> {
+    let width = num_assets * NUM_FEATURES;
+    match days.iter().position(|day| day.as_ref().len() != width) {
+        Some(i) => Err(PanelError::SizeMismatch(format!(
+            "day {i}: expected {width} values ({num_assets} assets × {NUM_FEATURES} OHLC), got {}",
+            days[i].as_ref().len()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Checks that every price of the day-major `data` is positive and
+/// finite. The error names the day, counted from `first_day`, and the
+/// asset.
+fn check_prices(data: &[f64], num_assets: usize, first_day: usize) -> Result<(), PanelError> {
+    let Some(pos) = data.iter().position(|p| !(p.is_finite() && *p > 0.0)) else {
+        return Ok(());
+    };
+    let row = num_assets * NUM_FEATURES;
+    Err(PanelError::DirtyPrice(format!(
+        "panel prices must be positive and finite: value {} at day {}, asset {}",
+        data[pos],
+        first_day + pos / row,
+        pos % row / NUM_FEATURES
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +378,41 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_prices() {
         let _ = AssetPanel::new("bad", 2, 1, vec![1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], 1);
+    }
+
+    #[test]
+    fn rows_build_append_and_drop_in_place() {
+        let p = tiny_panel();
+        let rows: Vec<Vec<f64>> = p
+            .data()
+            .chunks(2 * NUM_FEATURES)
+            .map(<[f64]>::to_vec)
+            .collect();
+        let mut q = AssetPanel::try_from_days("rows", 2, &rows[..2], 1).unwrap();
+        q.try_append_days(&rows[2..]).unwrap();
+        assert_eq!(q.num_days(), 3);
+        assert_eq!(q.data(), p.data());
+        // A rejected append changes nothing, whichever row is bad.
+        let mut dirty = rows[2].clone();
+        dirty[3] = f64::NAN;
+        for bad in [vec![rows[0].clone(), dirty], vec![vec![1.0; 3]]] {
+            assert!(q.try_append_days(&bad).is_err());
+            assert_eq!(q.data(), p.data());
+        }
+        q.drop_oldest_days(1);
+        assert_eq!((q.num_days(), q.test_start()), (2, 0));
+        assert_eq!(q.close(0, 0), 11.0);
+        assert_eq!(q.data(), &p.data()[2 * NUM_FEATURES..]);
+        assert!(matches!(
+            AssetPanel::try_from_days("short", 2, &rows[..1], 0),
+            Err(PanelError::Empty(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than two")]
+    fn drop_keeps_two_days() {
+        tiny_panel().drop_oldest_days(2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::protocol::{ErrorKind, Response};
 use crate::spill::{checksum64, SpillDir, SpillError, SPILL_MAGIC};
 use cit_core::{DecisionModel, HorizonWindowCache};
-use cit_market::{AssetPanel, NUM_FEATURES};
+use cit_market::{AssetPanel, PanelError, NUM_FEATURES};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -19,17 +19,15 @@ use std::time::{Duration, Instant};
 /// state (`SlidingDwt` windows via [`HorizonWindowCache`], previous
 /// per-policy actions).
 pub struct Session {
-    name: String,
     /// The model slot this session is pinned to for life — carried
     /// through disk spill so a restart restores the session against the
     /// same model (empty = default slot, for sessions opened without a
     /// `model` field).
     model: String,
-    num_assets: usize,
-    /// Day-major `[days, m, 4]` history, trimmed to `max_history` days.
-    hist: Vec<f64>,
-    /// Days currently held in `hist`.
-    days: usize,
+    /// The history as a validated panel named after the session, trimmed
+    /// to `max_history` days. Days are checked once, when appended, so
+    /// `decide` lends it to the model as it is.
+    panel: AssetPanel,
     /// Days ever pushed (absolute day index = `total_days - 1`). Survives
     /// trimming, so clients see a monotone day counter.
     total_days: usize,
@@ -63,25 +61,24 @@ impl Session {
                 ),
             ));
         }
+        let panel =
+            AssetPanel::try_from_days(name, model.num_assets(), prices, 0).map_err(bad_data)?;
         let mut session = Session {
-            name: name.to_string(),
             model: slot.to_string(),
-            num_assets: model.num_assets(),
-            hist: Vec::new(),
-            days: 0,
-            total_days: 0,
+            total_days: prices.len(),
+            panel,
             prev_actions: model.uniform_prev_actions(),
             cache: model.new_cache(),
             max_history: max_history.max(2 * window),
             last_used: Instant::now(),
         };
-        session.push_days(model, prices)?;
+        session.trim(model);
         Ok(session)
     }
 
     /// The session id.
     pub fn name(&self) -> &str {
-        &self.name
+        self.panel.name()
     }
 
     /// The model slot the session is pinned to (empty = default slot).
@@ -91,7 +88,7 @@ impl Session {
 
     /// Days of history currently held (after trimming).
     pub fn days(&self) -> usize {
-        self.days
+        self.panel.num_days()
     }
 
     /// Absolute day index of the latest day (`total pushed - 1`).
@@ -99,35 +96,14 @@ impl Session {
         self.total_days - 1
     }
 
-    /// Appends days of OHLC rows, validating width and positivity.
+    /// Appends days of OHLC rows in place, validating width and
+    /// positivity; a rejected append leaves the history unchanged.
     pub fn push_days(
         &mut self,
         model: &DecisionModel,
         prices: &[Vec<f64>],
     ) -> Result<(), Response> {
-        let row = self.num_assets * NUM_FEATURES;
-        for (i, day) in prices.iter().enumerate() {
-            if day.len() != row {
-                return Err(Response::error(
-                    ErrorKind::BadData,
-                    format!(
-                        "day {i}: expected {row} values ({} assets × {NUM_FEATURES} OHLC), got {}",
-                        self.num_assets,
-                        day.len()
-                    ),
-                ));
-            }
-            if let Some(bad) = day.iter().find(|p| !(p.is_finite() && **p > 0.0)) {
-                return Err(Response::error(
-                    ErrorKind::BadData,
-                    format!("day {i}: prices must be positive and finite, got {bad}"),
-                ));
-            }
-        }
-        for day in prices {
-            self.hist.extend_from_slice(day);
-        }
-        self.days += prices.len();
+        self.panel.try_append_days(prices).map_err(bad_data)?;
         self.total_days += prices.len();
         self.trim(model);
         Ok(())
@@ -140,13 +116,12 @@ impl Session {
     /// so it is rebuilt (one full recompute, bitwise-equal by the
     /// `SlidingDwt` contract).
     fn trim(&mut self, model: &DecisionModel) {
-        if self.days <= self.max_history {
+        let days = self.panel.num_days();
+        if days <= self.max_history {
             return;
         }
         let keep = (self.max_history / 2).max(model.min_history()).max(2);
-        let row = self.num_assets * NUM_FEATURES;
-        self.hist.drain(..(self.days - keep) * row);
-        self.days = keep;
+        self.panel.drop_oldest_days(days - keep);
         self.cache = model.new_cache();
     }
 
@@ -159,29 +134,20 @@ impl Session {
         prices: &[Vec<f64>],
     ) -> Result<Response, Response> {
         self.push_days(model, prices)?;
-        if self.days < model.min_history() {
+        let days = self.panel.num_days();
+        if days < model.min_history() {
             return Err(Response::error(
                 ErrorKind::BadData,
                 format!(
-                    "decide needs {} days of history, session holds {}",
+                    "decide needs {} days of history, session holds {days}",
                     model.min_history(),
-                    self.days
                 ),
             ));
         }
-        let t = self.days - 1;
-        let panel = AssetPanel::try_new(
-            self.name.clone(),
-            self.days,
-            self.num_assets,
-            self.hist.clone(),
-            t,
-        )
-        .map_err(|e| Response::error(ErrorKind::BadData, e.to_string()))?;
-        let out = model.decide(&panel, t, &self.prev_actions, &mut self.cache);
+        let out = model.decide(&self.panel, days - 1, &self.prev_actions, &mut self.cache);
         self.prev_actions.clone_from(&out.pre_actions);
         Ok(Response::Decision {
-            session: self.name.clone(),
+            session: self.name().to_string(),
             day: self.current_day(),
             final_action: out.final_action,
             pre_actions: out.pre_actions,
@@ -199,19 +165,20 @@ impl Session {
     /// the session name, so a restart restores every session against the
     /// model it was opened on.
     pub(crate) fn spill_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + self.hist.len() * 8);
+        let hist = self.panel.data();
+        let mut out = Vec::with_capacity(96 + hist.len() * 8);
         out.extend_from_slice(SPILL_MAGIC);
         let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        push_u64(&mut out, self.name.len() as u64);
-        out.extend_from_slice(self.name.as_bytes());
+        push_u64(&mut out, self.name().len() as u64);
+        out.extend_from_slice(self.name().as_bytes());
         push_u64(&mut out, self.model.len() as u64);
         out.extend_from_slice(self.model.as_bytes());
-        push_u64(&mut out, self.num_assets as u64);
-        push_u64(&mut out, self.days as u64);
+        push_u64(&mut out, self.panel.num_assets() as u64);
+        push_u64(&mut out, self.panel.num_days() as u64);
         push_u64(&mut out, self.total_days as u64);
         push_u64(&mut out, self.max_history as u64);
-        push_u64(&mut out, self.hist.len() as u64);
-        for v in &self.hist {
+        push_u64(&mut out, hist.len() as u64);
+        for v in hist {
             push_u64(&mut out, v.to_bits());
         }
         push_u64(&mut out, self.prev_actions.len() as u64);
@@ -229,9 +196,11 @@ impl Session {
     /// Rebuilds a session from [`Session::spill_bytes`] output,
     /// verifying the checksum trailer and validating shape compatibility
     /// against the active `model`. [`SpillError::Corrupt`] means the
-    /// bytes themselves are damaged (truncation, bit-flip, bad magic) —
-    /// the caller quarantines the file; [`SpillError::Incompatible`]
-    /// means an intact file that does not fit the served model.
+    /// bytes themselves are damaged (truncation, bit-flip, bad magic, or
+    /// a price no session could have accepted) — the caller quarantines
+    /// the file; [`SpillError::Incompatible`] means an intact file that
+    /// does not fit the served model. The history is validated here, once,
+    /// because `decide` trusts the panel it holds.
     pub(crate) fn from_spill_bytes(
         bytes: &[u8],
         model: &DecisionModel,
@@ -326,12 +295,11 @@ impl Session {
                 "spilled session holds too little history for the served model".into(),
             ));
         }
+        let panel = AssetPanel::try_new(name, days, num_assets, hist, 0)
+            .map_err(|e| corrupt(&format!("spilled history is invalid: {e}")))?;
         Ok(Session {
-            name,
             model: model_name,
-            num_assets,
-            hist,
-            days,
+            panel,
             total_days,
             prev_actions,
             cache: model.new_cache(),
@@ -339,6 +307,11 @@ impl Session {
             last_used: Instant::now(),
         })
     }
+}
+
+/// A history the panel refused, as the client-facing `bad_data` error.
+fn bad_data(e: PanelError) -> Response {
+    Response::error(ErrorKind::BadData, e.to_string())
 }
 
 /// The identity header of a spill file: who it is and which model slot
@@ -719,6 +692,42 @@ mod tests {
             );
             flipped[i] ^= 0x01;
         }
+    }
+
+    /// A spill whose bytes are intact (valid checksum trailer) but whose
+    /// history holds a price no session could have accepted is corrupt:
+    /// restore validates the history once, because `decide` trusts the
+    /// panel it holds.
+    #[test]
+    fn spill_with_a_dirty_price_and_a_valid_checksum_is_corrupt() {
+        let m = model();
+        let p = synth();
+        let s = Session::open(&m, "dirty", "", &rows(&p, 0, 40), 256).unwrap();
+        let good = s.spill_bytes();
+        // Magic, name, model pin, then five u64 header fields before the
+        // history values.
+        let first_price = SPILL_MAGIC.len() + 8 + "dirty".len() + 8 + 5 * 8;
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let mut forged = good[..good.len() - 8].to_vec();
+            let at = first_price + 8 * 17;
+            forged[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let sum = checksum64(&forged);
+            forged.extend_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(
+                    Session::from_spill_bytes(&forged, &m),
+                    Err(SpillError::Corrupt(_))
+                ),
+                "a spilled price of {bad} must be reported as corrupt"
+            );
+        }
+        // The same surgery with a valid price restores fine.
+        let mut clean = good[..good.len() - 8].to_vec();
+        clean[first_price..first_price + 8].copy_from_slice(&7.5f64.to_bits().to_le_bytes());
+        let sum = checksum64(&clean);
+        clean.extend_from_slice(&sum.to_le_bytes());
+        let restored = Session::from_spill_bytes(&clean, &m).unwrap();
+        assert_eq!(restored.panel.data()[0], 7.5);
     }
 
     #[test]
